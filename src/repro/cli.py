@@ -74,6 +74,7 @@ from repro.obs.runstore import (
     golden_record,
     record_from_result,
 )
+from repro.obs.tracer import DEFAULT_TRACE_CAPACITY
 from repro.sim.accelerator import AcceleratorSim, SimConfig
 from repro.sim.trace import ScheduleTracer
 from repro.substrates.graphs.generators import random_graph
@@ -81,11 +82,10 @@ from repro.substrates.graphs.generators import random_graph
 
 def _default_spec(app: str):
     """Build ``app`` with a reasonable default input."""
-    from repro.eval.workloads import default_workloads
+    from repro.eval.workloads import APP_NAMES, default_workloads
 
-    workloads = default_workloads(scale=0.5)
-    if app in workloads:
-        return workloads[app].build_spec()
+    if app in APP_NAMES:
+        return default_workloads(scale=0.5, apps=(app,))[app].build_spec()
     if app in ("SPEC-CC", "COOR-SSSP"):
         return build_app(app, random_graph(200, 500, seed=1))
     return build_app(app)
@@ -315,8 +315,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     tracer = ScheduleTracer(max_cycles=args.trace_cycles) if args.trace \
         else None
-    obs = Observability() if (args.trace_out or args.metrics_out
-                              or store is not None) else None
+    obs = None
+    if args.trace_out or args.metrics_out or store is not None:
+        # The event ring is only worth building when it is exported.
+        obs = Observability(trace_capacity=DEFAULT_TRACE_CAPACITY
+                            if args.trace_out else None)
     platform = EVAL_HARP.scaled(args.bandwidth)
     config = SimConfig(prefetch=args.prefetch,
                        engine=_engine_from_args(args))
@@ -413,7 +416,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """
     spec = _default_spec(args.app)
     store = _store_from_args(args)
-    obs = Observability(trace_capacity=args.trace_capacity)
+    obs = Observability(trace_capacity=args.trace_capacity
+                        if args.trace_out else None)
     platform = EVAL_HARP.scaled(args.bandwidth)
     config = SimConfig(engine=_engine_from_args(args))
     sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs)
@@ -843,8 +847,9 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     spec = _default_spec(args.app)
     store = _store_from_args(args)
     # Telemetry is always on here: the cross-check needs the stall
-    # record, and this is an analysis command — nobody times it.
-    obs = Observability()
+    # record.  The event ring is built only for --trace-out.
+    obs = Observability(trace_capacity=DEFAULT_TRACE_CAPACITY
+                        if args.trace_out else None)
     platform = EVAL_HARP.scaled(args.bandwidth)
     config = SimConfig(engine=_engine_from_args(args))
     sim = AcceleratorSim(spec, platform=platform, config=config, obs=obs,
@@ -1105,8 +1110,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_option(profile)
     profile.add_argument("--top", type=int, default=16,
                          help="rows to print (most-stalled first)")
-    profile.add_argument("--trace-capacity", type=int, default=65536,
-                         help="event ring-buffer capacity")
+    profile.add_argument("--trace-capacity", type=int,
+                         default=DEFAULT_TRACE_CAPACITY,
+                         help="event ring-buffer capacity of the "
+                              "--trace-out trace")
     profile.add_argument("--trace-out", metavar="FILE",
                          help="also write the Chrome trace_event JSON")
     profile.add_argument("--metrics-out", metavar="FILE",

@@ -196,7 +196,4 @@ def experiment_records(
 
 def store_experiment_results(store, **results) -> int:
     """Append every experiment record to ``store``; returns the count."""
-    records = experiment_records(**results)
-    for item in records:
-        store.append(item)
-    return len(records)
+    return len(store.append_many(experiment_records(**results)))

@@ -20,8 +20,9 @@ for the ordered ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.apps.registry import build_app
 from repro.core.spec import ApplicationSpec
@@ -73,45 +74,38 @@ class Workload:
         return self.spec_builder()
 
 
-def default_workloads(scale: float = 1.0) -> dict[str, Workload]:
-    """The default per-benchmark inputs, optionally scaled."""
+def default_workloads(
+    scale: float = 1.0, apps: Iterable[str] | None = None,
+) -> dict[str, Workload]:
+    """The default per-benchmark inputs, optionally scaled.
+
+    ``apps`` restricts the table to those benchmarks (default: all of
+    :data:`APP_NAMES`); only their inputs and CPU profiles are built, so
+    a single-app caller does not pay for the other five.  Inputs come
+    from the same seeds either way.
+    """
     s = max(0.25, scale)
     rmat_scale = 9 if s >= 0.75 else 8
-    wide = rmat_graph(rmat_scale, edge_factor=8, seed=4)
-    mst_graph = random_graph(int(600 * s), int(1800 * s), seed=5)
-    dmr_points, dmr_seed = int(140 * s), 3
-    lu_grid, lu_block = 8, 24
-    lu_matrix = make_sparselu_instance(lu_grid, lu_block, 0.30, seed=7)
 
-    return {
-        "SPEC-BFS": Workload(
-            "SPEC-BFS",
-            lambda: build_app("SPEC-BFS", wide, 0),
-            bfs_profile(wide, 0),
+    @functools.cache
+    def wide():
+        return rmat_graph(rmat_scale, edge_factor=8, seed=4)
+
+    def graph_workload(app: str, profile, replicas: dict[str, int]):
+        graph = wide()
+        return Workload(
+            app,
+            lambda: build_app(app, graph, 0),
+            profile(graph, 0),
             {"graph": f"rmat 2^{rmat_scale}"},
             config=WIDE_CONFIG,
-            replicas={"visit": 4, "update": 2},
-            source=WorkloadSource("SPEC-BFS", "default", s),
-        ),
-        "COOR-BFS": Workload(
-            "COOR-BFS",
-            lambda: build_app("COOR-BFS", wide, 0),
-            bfs_profile(wide, 0),
-            {"graph": f"rmat 2^{rmat_scale}"},
-            config=WIDE_CONFIG,
-            replicas={"visit": 4},
-            source=WorkloadSource("COOR-BFS", "default", s),
-        ),
-        "SPEC-SSSP": Workload(
-            "SPEC-SSSP",
-            lambda: build_app("SPEC-SSSP", wide, 0),
-            sssp_profile(wide, 0),
-            {"graph": f"rmat 2^{rmat_scale}"},
-            config=WIDE_CONFIG,
-            replicas={"relax": 4},
-            source=WorkloadSource("SPEC-SSSP", "default", s),
-        ),
-        "SPEC-MST": Workload(
+            replicas=replicas,
+            source=WorkloadSource(app, "default", s),
+        )
+
+    def spec_mst():
+        mst_graph = random_graph(int(600 * s), int(1800 * s), seed=5)
+        return Workload(
             "SPEC-MST",
             lambda: build_app("SPEC-MST", mst_graph),
             mst_profile(mst_graph),
@@ -119,8 +113,11 @@ def default_workloads(scale: float = 1.0) -> dict[str, Workload]:
             config=ORDERED_CONFIG,
             replicas={"mstedge": 2},
             source=WorkloadSource("SPEC-MST", "default", s),
-        ),
-        "SPEC-DMR": Workload(
+        )
+
+    def spec_dmr():
+        dmr_points, dmr_seed = int(140 * s), 3
+        return Workload(
             "SPEC-DMR",
             lambda: build_app("SPEC-DMR", n_points=dmr_points, seed=dmr_seed),
             dmr_profile(dmr_points, dmr_seed),
@@ -128,8 +125,12 @@ def default_workloads(scale: float = 1.0) -> dict[str, Workload]:
             config=ORDERED_CONFIG,
             replicas={"refine": 2},
             source=WorkloadSource("SPEC-DMR", "default", s),
-        ),
-        "COOR-LU": Workload(
+        )
+
+    def coor_lu():
+        lu_grid, lu_block = 8, 24
+        lu_matrix = make_sparselu_instance(lu_grid, lu_block, 0.30, seed=7)
+        return Workload(
             "COOR-LU",
             lambda: build_app(
                 "COOR-LU", grid=lu_grid, block_size=lu_block,
@@ -140,8 +141,21 @@ def default_workloads(scale: float = 1.0) -> dict[str, Workload]:
             config=ORDERED_CONFIG,
             replicas={"lutask": 2},
             source=WorkloadSource("COOR-LU", "default", s),
-        ),
+        )
+
+    makers: dict[str, Callable[[], Workload]] = {
+        "SPEC-BFS": lambda: graph_workload(
+            "SPEC-BFS", bfs_profile, {"visit": 4, "update": 2}),
+        "COOR-BFS": lambda: graph_workload(
+            "COOR-BFS", bfs_profile, {"visit": 4}),
+        "SPEC-SSSP": lambda: graph_workload(
+            "SPEC-SSSP", sssp_profile, {"relax": 4}),
+        "SPEC-MST": spec_mst,
+        "SPEC-DMR": spec_dmr,
+        "COOR-LU": coor_lu,
     }
+    return {app: makers[app]() for app in (APP_NAMES if apps is None
+                                           else apps)}
 
 
 def road_workloads(scale: float = 1.0) -> dict[str, Workload]:

@@ -45,21 +45,46 @@ class LockTelemetry:
     time queueing on the cache lock looks identical to one that never
     waits.  The accumulator lives here (not in ``obs``) so the io layer
     stays dependency-free; consumers snapshot/delta it around a sweep.
+
+    Waits are kept in whole microseconds, so a snapshot's seconds are
+    exact and a delta of two snapshots rounds nothing.  ``peaks`` holds
+    the running suffix maxima of the waits — ``(acquisition number,
+    wait)`` with strictly decreasing waits, the first being the
+    process-wide maximum — so a delta can report the longest wait
+    *within* it rather than the process-wide high-water mark.
     """
 
     acquires: int = 0
     contended: int = 0           # acquisitions that did not succeed first try
-    wait_seconds: float = 0.0    # total time spent inside acquire()
-    max_wait_seconds: float = 0.0
+    wait_us: int = 0             # total time spent inside acquire()
     stale_broken: int = 0
     timeouts: int = 0
+    peaks: list = field(default_factory=list)
+
+    def record_acquire(self, waited_us: int, contended: bool) -> None:
+        self.acquires += 1
+        self.wait_us += waited_us
+        if contended:
+            self.contended += 1
+        peaks = self.peaks
+        while peaks and peaks[-1][1] <= waited_us:
+            peaks.pop()
+        peaks.append((self.acquires, waited_us))
+
+    def max_wait_since(self, acquires: int) -> int:
+        """Longest wait among the acquisitions after the first
+        ``acquires`` (microseconds; 0 when there were none)."""
+        for number, waited_us in self.peaks:
+            if number > acquires:
+                return waited_us
+        return 0
 
     def snapshot(self) -> dict:
         return {
             "acquires": self.acquires,
             "contended": self.contended,
-            "wait_seconds": round(self.wait_seconds, 6),
-            "max_wait_seconds": round(self.max_wait_seconds, 6),
+            "wait_seconds": self.wait_us / 1e6,
+            "max_wait_seconds": self.max_wait_since(0) / 1e6,
             "stale_broken": self.stale_broken,
             "timeouts": self.timeouts,
         }
@@ -74,12 +99,20 @@ def lock_telemetry_snapshot() -> dict:
 
 
 def lock_telemetry_delta(base: dict) -> dict:
-    """Counters accumulated since ``base`` (an earlier snapshot)."""
+    """Counters accumulated since ``base`` (an earlier snapshot).
+
+    ``max_wait_seconds`` is the longest single wait since ``base``, so
+    it is never below ``wait_seconds`` when one acquisition happened.
+    """
     now = LOCK_TELEMETRY.snapshot()
     delta = {k: now[k] - base.get(k, 0) for k in now}
-    delta["wait_seconds"] = round(delta["wait_seconds"], 6)
-    # max is not a counter; report the current high-water mark instead.
-    delta["max_wait_seconds"] = now["max_wait_seconds"]
+    # Both snapshots hold whole microseconds: difference them as such.
+    delta["wait_seconds"] = (
+        LOCK_TELEMETRY.wait_us - round(base.get("wait_seconds", 0) * 1e6)
+    ) / 1e6
+    delta["max_wait_seconds"] = LOCK_TELEMETRY.max_wait_since(
+        base.get("acquires", 0)
+    ) / 1e6
     return delta
 
 
@@ -184,13 +217,10 @@ class FileLock:
         first_try = True
         while True:
             if self._try_acquire():
-                waited = time.monotonic() - start
-                LOCK_TELEMETRY.acquires += 1
-                LOCK_TELEMETRY.wait_seconds += waited
-                if waited > LOCK_TELEMETRY.max_wait_seconds:
-                    LOCK_TELEMETRY.max_wait_seconds = waited
-                if not first_try:
-                    LOCK_TELEMETRY.contended += 1
+                LOCK_TELEMETRY.record_acquire(
+                    round((time.monotonic() - start) * 1e6),
+                    contended=not first_try,
+                )
                 return self
             first_try = False
             if self._break_if_stale():

@@ -4,7 +4,8 @@ Three pillars (see docs/observability.md):
 
 * a structured **event tracer** (`tracer.py`) — ring-buffered typed
   events exported as Chrome ``trace_event`` JSON for Perfetto, or folded
-  into the legacy ASCII timeline;
+  into the legacy ASCII timeline; the ring is built only when a trace
+  will be exported;
 * a **metrics registry** (`metrics.py`) — named counters, gauges, and
   log-scaled histograms that components register against, from which
   :class:`~repro.sim.stats.SimStats` is re-derived;
@@ -13,8 +14,10 @@ Three pillars (see docs/observability.md):
   the simulated cycle count.
 
 An :class:`Observability` instance bundles all three for one simulation
-run and is handed to :class:`~repro.sim.accelerator.AcceleratorSim` via
-its ``obs=`` parameter.  The contract mirrors the fault hooks: every
+run — its hooks fold every observation directly into the profiler, the
+utilization timeline and the registry — and is handed to
+:class:`~repro.sim.accelerator.AcceleratorSim` via its ``obs=``
+parameter.  The contract mirrors the fault hooks: every
 component holds ``obs = None`` by default and pays a single identity
 test on the hot path, so with observability disabled the simulator's
 behaviour — including cycle counts — is bit-identical.  The bundle lives
@@ -49,7 +52,14 @@ from repro.obs.tracer import EventTracer
 
 
 class Observability:
-    """One run's tracer + registry + profiler, plus the emission hooks.
+    """One run's registry + profiler + timeline, plus the emission hooks.
+
+    Every hook folds straight into the stall profiler, the utilization
+    timeline and the metrics registry — the three things a stored run
+    record reads.  The Chrome-trace ring (:class:`EventTracer`) exists
+    only when ``trace_capacity`` is given, i.e. when a trace will be
+    exported; with ``trace_capacity=None`` the bundle keeps no per-event
+    objects at all and ``tracer`` is ``None``.
 
     ``now`` is the simulator's current cycle, refreshed once per
     :meth:`~repro.sim.accelerator.AcceleratorSim.step`; hooks on
@@ -57,23 +67,33 @@ class Observability:
     request retirement) timestamp with it.
     """
 
-    def __init__(self, trace_capacity: int = 65536) -> None:
-        self.tracer = EventTracer(trace_capacity)
+    def __init__(self, trace_capacity: int | None = None) -> None:
+        self.tracer = (EventTracer(trace_capacity)
+                       if trace_capacity is not None else None)
         self.registry = MetricsRegistry()
         self.profiler = StallProfiler()
         self.timeline = UtilizationTimeline()
-        self.tracer.add_sink(self.profiler.on_event)
-        self.tracer.add_sink(self.timeline.on_event)
         self.now = 0
+        # Instruments bound on first use: registering one eagerly would
+        # add an empty entry to the stored metrics snapshot.
+        self._queue_occupancy: dict[str, Histogram] = {}
+        self._lane_occupancy: dict[str, Histogram] = {}
+        self._issued: dict[str, Counter] = {}
+        self._load_latency: Histogram | None = None
 
     # -- pipeline stages -------------------------------------------------------
 
     def stage_fire(self, cycle: int, stage: str) -> None:
-        self.tracer.emit(cycle, TraceEventKind.STAGE_FIRE, stage)
+        self.profiler.fire(stage, cycle)
+        self.timeline.fire(cycle)
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.STAGE_FIRE, stage)
 
     def stage_stall(self, cycle: int, stage: str, reason: StallReason) -> None:
-        self.tracer.emit(cycle, TraceEventKind.STAGE_STALL, stage,
-                         reason=reason)
+        self.profiler.stall(stage, cycle, reason)
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.STAGE_STALL, stage,
+                             reason=reason)
 
     def credit_skipped_stalls(self, stage: str, reason: StallReason,
                               count: int) -> None:
@@ -85,66 +105,93 @@ class Observability:
     # -- task queues -----------------------------------------------------------
 
     def queue_push(self, task_set: str, occupancy: int) -> None:
-        self.registry.histogram(f"queue.{task_set}.occupancy").record(
-            occupancy
-        )
-        self.tracer.emit(self.now, TraceEventKind.TOKEN_ENQ, task_set,
-                         data={"occupancy": occupancy})
+        histogram = self._queue_occupancy.get(task_set)
+        if histogram is None:
+            histogram = self._queue_occupancy[task_set] = \
+                self.registry.histogram(f"queue.{task_set}.occupancy")
+        histogram.record(occupancy)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.TOKEN_ENQ, task_set,
+                             data={"occupancy": occupancy})
 
     def queue_pop(self, task_set: str, occupancy: int) -> None:
-        self.tracer.emit(self.now, TraceEventKind.TOKEN_DEQ, task_set,
-                         data={"occupancy": occupancy})
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.TOKEN_DEQ, task_set,
+                             data={"occupancy": occupancy})
 
     # -- rule engines ----------------------------------------------------------
 
     def rule_promise(self, engine: str, occupancy: int) -> None:
-        self.registry.histogram(f"rules.{engine}.lane_occupancy").record(
-            occupancy
-        )
-        self.tracer.emit(self.now, TraceEventKind.RULE_PROMISE, engine,
-                         data={"occupancy": occupancy})
+        histogram = self._lane_occupancy.get(engine)
+        if histogram is None:
+            histogram = self._lane_occupancy[engine] = \
+                self.registry.histogram(f"rules.{engine}.lane_occupancy")
+        histogram.record(occupancy)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.RULE_PROMISE, engine,
+                             data={"occupancy": occupancy})
 
     def rule_rendezvous(self, engine: str) -> None:
-        self.tracer.emit(self.now, TraceEventKind.RULE_RENDEZVOUS, engine)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.RULE_RENDEZVOUS,
+                             engine)
 
     def rule_return(self, engine: str, verdict: str,
                     occupancy: int = 0) -> None:
-        self.tracer.emit(self.now, TraceEventKind.RULE_RETURN, engine,
-                         data={"verdict": verdict, "occupancy": occupancy})
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.RULE_RETURN, engine,
+                             data={"verdict": verdict,
+                                   "occupancy": occupancy})
 
     def rule_squash(self, cycle: int, engine: str) -> None:
-        self.tracer.emit(cycle, TraceEventKind.RULE_SQUASH, engine)
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.RULE_SQUASH, engine)
 
     # -- memory system ---------------------------------------------------------
 
     def mem_issue(self, cycle: int, kind: str, nbytes: int) -> None:
-        self.registry.counter(f"mem.{kind}s_issued").inc()
-        self.tracer.emit(cycle, TraceEventKind.MEM_ISSUE, kind,
-                         data={"bytes": nbytes})
+        counter = self._issued.get(kind)
+        if counter is None:
+            counter = self._issued[kind] = self.registry.counter(
+                f"mem.{kind}s_issued"
+            )
+        counter.value += 1
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.MEM_ISSUE, kind,
+                             data={"bytes": nbytes})
 
     def mem_load(self, cycle: int, addr: int, hit: bool,
                  latency: int) -> None:
-        self.registry.histogram("mem.load_latency").record(latency)
-        self.tracer.emit(
-            cycle,
-            TraceEventKind.MEM_HIT if hit else TraceEventKind.MEM_MISS,
-            "load", data={"addr": addr, "latency": latency},
-        )
+        histogram = self._load_latency
+        if histogram is None:
+            histogram = self._load_latency = self.registry.histogram(
+                "mem.load_latency"
+            )
+        histogram.record(latency)
+        if self.tracer is not None:
+            self.tracer.emit(
+                cycle,
+                TraceEventKind.MEM_HIT if hit else TraceEventKind.MEM_MISS,
+                "load", data={"addr": addr, "latency": latency},
+            )
 
     def mem_complete(self, kind: str = "load") -> None:
-        self.tracer.emit(self.now, TraceEventKind.MEM_COMPLETE, kind)
+        if self.tracer is not None:
+            self.tracer.emit(self.now, TraceEventKind.MEM_COMPLETE, kind)
 
     # -- robustness ------------------------------------------------------------
 
     def checkpoint(self, cycle: int, count: int) -> None:
         self.registry.counter("recovery.checkpoints").inc()
-        self.tracer.emit(cycle, TraceEventKind.CHECKPOINT, "checkpoint",
-                         data={"count": count})
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.CHECKPOINT, "checkpoint",
+                             data={"count": count})
 
     def rollback(self, cycle: int) -> None:
         self.registry.counter("recovery.rollbacks").inc()
-        self.tracer.emit(cycle, TraceEventKind.ROLLBACK, "rollback",
-                         data={"to_cycle": cycle})
+        if self.tracer is not None:
+            self.tracer.emit(cycle, TraceEventKind.ROLLBACK, "rollback",
+                             data={"to_cycle": cycle})
 
 
 __all__ = [

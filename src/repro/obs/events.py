@@ -4,8 +4,8 @@ Every observable thing the simulator does maps to one
 :class:`TraceEventKind`; stage stalls additionally carry a
 :class:`StallReason` so the profiler can attribute every stalled cycle to
 the resource the stage was blocked on.  Events are plain timestamped
-records — the tracer ring-buffers them and fans them out to online sinks,
-so an event object is never mutated after it is emitted.
+records — the tracer ring-buffers them for trace export, and an event
+object is never mutated after it is emitted.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class StallReason(enum.Enum):
     MEMORY = "memory"
     RULE = "rule"
     BACKPRESSURE = "backpressure"
+
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality; it spares the profiler's per-stall column
+    # lookup Enum's Python-level ``__hash__``.
+    __hash__ = object.__hash__
 
 
 @dataclass

@@ -1,18 +1,19 @@
-"""Stall-attribution profiling: fold the event stream into cycle accounting.
+"""Stall-attribution profiling: fold stage activity into cycle accounting.
 
-The profiler is an online tracer sink, so it sees every stage event even
-after the ring buffer wraps.  For each stage it classifies every cycle
-as exactly one of *active*, one of the four :class:`StallReason` buckets,
-or *idle* — a fire beats a stall recorded in the same cycle, the first
-stall reason wins among stalls — so the per-stage rows sum **exactly** to
-the total simulated cycle count.  The accounting state is part of the
+The profiler is fed directly by the observability hooks (``fire`` /
+``stall`` per stage and cycle), independent of the Chrome-trace ring,
+which may not exist at all or may have wrapped.  For each stage it
+classifies every cycle as exactly one of *active*, one of the four
+:class:`StallReason` buckets, or *idle* — a fire beats a stall recorded
+in the same cycle, the first stall reason wins among stalls — so the
+per-stage rows sum **exactly** to the total simulated cycle count.  The accounting state is part of the
 simulator's checkpointed object graph: a rollback restores it along with
 the rest of the machine, so replayed cycles are never double-counted.
 """
 
 from __future__ import annotations
 
-from repro.obs.events import StallReason, TraceEvent, TraceEventKind
+from repro.obs.events import StallReason
 
 # Column order of one accounting row; "active" must sort before every
 # stall reason (classification precedence is the column index).
@@ -30,44 +31,48 @@ _REASON_INDEX = {
     StallReason.BACKPRESSURE: 4,
 }
 
+# A profiler row holds the committed count of every COLUMNS entry, then
+# the open cell: the cycle still being observed (None before the first
+# observation) and the column currently holding it.
+_OPEN = len(COLUMNS)
+_HELD = _OPEN + 1
+
 
 class StallProfiler:
-    """Per-stage cycle accounting, folded online from the event stream."""
+    """Per-stage cycle accounting, folded online from the stage hooks."""
 
     def __init__(self) -> None:
-        # stage -> [active, queue, memory, rule, backpressure]
-        self._committed: dict[str, list[int]] = {}
-        # stage -> (cycle, column) for the cycle still being observed.
-        self._open: dict[str, tuple[int, int]] = {}
+        # stage -> [active, queue, memory, rule, backpressure, open, held]
+        self._rows: dict[str, list] = {}
 
-    # -- sink -----------------------------------------------------------------
+    def _row(self, stage: str) -> list:
+        row = self._rows[stage] = [0] * len(COLUMNS) + [None, 0]
+        return row
 
-    def on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind is TraceEventKind.STAGE_FIRE:
-            column = 0
-        elif kind is TraceEventKind.STAGE_STALL:
-            column = _REASON_INDEX[event.reason]
-        else:
+    # -- observation ----------------------------------------------------------
+
+    def fire(self, stage: str, cycle: int) -> None:
+        """``stage`` advanced a token in ``cycle``: a fire beats any
+        stall recorded in the same cycle."""
+        row = self._rows.get(stage) or self._row(stage)
+        open_cycle = row[_OPEN]
+        if open_cycle != cycle:
+            if open_cycle is not None:
+                row[row[_HELD]] += 1
+            row[_OPEN] = cycle
+        row[_HELD] = 0
+
+    def stall(self, stage: str, cycle: int, reason: StallReason) -> None:
+        """``stage`` held a token in ``cycle``: the first observation of
+        a cycle (fire or stall) keeps it against later stalls."""
+        row = self._rows.get(stage) or self._row(stage)
+        open_cycle = row[_OPEN]
+        if open_cycle == cycle:
             return
-        stage = event.name
-        open_cell = self._open.get(stage)
-        if open_cell is not None:
-            cycle, held = open_cell
-            if cycle == event.cycle:
-                # Same cycle observed twice: a fire beats any stall; among
-                # stalls, the first recorded reason wins.
-                if column == 0 and held != 0:
-                    self._open[stage] = (cycle, 0)
-                return
-            self._commit(stage, held)
-        self._open[stage] = (event.cycle, column)
-
-    def _commit(self, stage: str, column: int) -> None:
-        row = self._committed.get(stage)
-        if row is None:
-            row = self._committed[stage] = [0] * len(COLUMNS)
-        row[column] += 1
+        if open_cycle is not None:
+            row[row[_HELD]] += 1
+        row[_OPEN] = cycle
+        row[_HELD] = _REASON_INDEX[reason]
 
     # -- fast-forward crediting ------------------------------------------------
 
@@ -83,13 +88,10 @@ class StallProfiler:
         """
         if count <= 0:
             return
-        row = self._committed.get(stage)
-        if row is None:
-            row = self._committed[stage] = [0] * len(COLUMNS)
+        row = self._rows.get(stage) or self._row(stage)
         row[_REASON_INDEX[reason]] += count
-        open_cell = self._open.get(stage)
-        if open_cell is not None:
-            self._open[stage] = (open_cell[0] + count, open_cell[1])
+        if row[_OPEN] is not None:
+            row[_OPEN] += count
 
     # -- reporting ------------------------------------------------------------
 
@@ -104,10 +106,11 @@ class StallProfiler:
         """
         report: dict[str, dict[str, int]] = {}
         for stage in stage_names:
-            row = list(self._committed.get(stage, [0] * len(COLUMNS)))
-            open_cell = self._open.get(stage)
-            if open_cell is not None and open_cell[0] < total_cycles:
-                row[open_cell[1]] += 1
+            held = self._rows.get(stage)
+            row = [0] * len(COLUMNS) if held is None else held[:_OPEN]
+            if (held is not None and held[_OPEN] is not None
+                    and held[_OPEN] < total_cycles):
+                row[held[_HELD]] += 1
             cells = dict(zip(COLUMNS, row))
             cells["idle"] = total_cycles - sum(row)
             cells["total"] = total_cycles
@@ -116,15 +119,15 @@ class StallProfiler:
 
 
 class UtilizationTimeline:
-    """Bounded-memory pipeline-activity timeline, folded from the stream.
+    """Bounded-memory pipeline-activity timeline, folded from stage fires.
 
-    Counts ``STAGE_FIRE`` events into fixed-width cycle buckets; when a
-    run outgrows ``max_buckets`` the resolution halves (adjacent buckets
+    Counts stage fires into fixed-width cycle buckets; when a run
+    outgrows ``max_buckets`` the resolution halves (adjacent buckets
     merge, the width doubles), so any run folds into at most
     ``max_buckets`` points — the series the dashboard's utilization
-    timeline plots.  Like the profiler it is an online tracer sink, so
-    the timeline is complete even after the ring buffer wraps, and it is
-    plain data, so checkpoints copy it and rollbacks restore it.
+    timeline plots.  Like the profiler it is fed directly by the hooks,
+    so the timeline is complete whether or not a trace ring exists, and
+    it is plain data, so checkpoints copy it and rollbacks restore it.
     """
 
     def __init__(self, max_buckets: int = 256) -> None:
@@ -134,19 +137,20 @@ class UtilizationTimeline:
         self.bucket_cycles = 1
         self.counts: list[int] = []
 
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind is not TraceEventKind.STAGE_FIRE:
+    def fire(self, cycle: int) -> None:
+        """One stage fired in ``cycle``."""
+        index = cycle // self.bucket_cycles
+        counts = self.counts
+        if index < len(counts):   # never more than max_buckets buckets
+            counts[index] += 1
             return
-        index = event.cycle // self.bucket_cycles
         while index >= self.max_buckets:
-            counts = self.counts
-            self.counts = [
+            self.counts = counts = [
                 counts[i] + (counts[i + 1] if i + 1 < len(counts) else 0)
                 for i in range(0, len(counts), 2)
             ]
             self.bucket_cycles *= 2
-            index = event.cycle // self.bucket_cycles
-        counts = self.counts
+            index = cycle // self.bucket_cycles
         if index >= len(counts):
             counts.extend([0] * (index + 1 - len(counts)))
         counts[index] += 1

@@ -312,28 +312,43 @@ class RunStore:
     # -- writing --------------------------------------------------------------
 
     def append(self, record: RunRecord) -> RunRecord:
-        """Assign a run id and persist the record; returns it.
+        """Assign a run id and persist the record; returns it."""
+        return self.append_many([record])[0]
+
+    def append_many(self, records: Iterable[RunRecord]) -> list[RunRecord]:
+        """Assign run ids and persist ``records`` in order; returns them.
 
         Id assignment and the append happen under the store file's
         advisory lock, so concurrent writers cannot race to the same id
-        or interleave lines; the line is fsynced before the lock drops.
+        or interleave lines.  The whole batch costs one lock, one id scan
+        and one fsynced write, and its ids are exactly those appending
+        the records one at a time would assign.
         """
-        if not record.timestamp:
-            record.timestamp = time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            )
+        records = list(records)
+        if not records:
+            return records
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         with FileLock(self.path, timeout=self.lock_timeout):
-            if not record.run_id:
-                record.run_id = f"{self._next_id():06d}"
-            line = json.dumps(record.to_dict(), sort_keys=True)
-            append_line(self.path, line, lock=False)
-        return record
+            highest, lines = self._id_watermark()
+            text = []
+            for record in records:
+                if not record.timestamp:
+                    record.timestamp = stamp
+                if not record.run_id:
+                    record.run_id = f"{max(highest, lines) + 1:06d}"
+                if record.run_id.isdigit():
+                    highest = max(highest, int(record.run_id))
+                lines += 1
+                text.append(json.dumps(record.to_dict(), sort_keys=True))
+            append_line(self.path, "\n".join(text), lock=False)
+        return records
 
-    def _next_id(self) -> int:
-        """One past the highest id in use (not the line count, which
-        shrinks under compaction and would recycle ids)."""
+    def _id_watermark(self) -> tuple[int, int]:
+        """The highest numeric id in use and the line count; the next id
+        is one past the larger (the line count alone shrinks under
+        compaction and would recycle ids)."""
         if not self.path.exists():
-            return 1
+            return 0, 0
         highest = lines = 0
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -344,7 +359,7 @@ class RunStore:
                     continue
                 if isinstance(run_id, str) and run_id.isdigit():
                     highest = max(highest, int(run_id))
-        return max(highest, lines) + 1
+        return highest, lines
 
     # -- reading --------------------------------------------------------------
 

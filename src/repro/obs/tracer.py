@@ -1,10 +1,11 @@
 """Ring-buffered structured event tracer with Chrome trace export.
 
 The tracer keeps the most recent ``capacity`` events in a ring (old
-events fall off the back, so tracing a long run is bounded-memory) and
-fans every event out to online *sinks* as it is emitted — sinks such as
-the stall-attribution profiler therefore see the complete stream even
-when the ring has wrapped.
+events fall off the back, so tracing a long run is bounded-memory).  It
+exists only for trace export: the stall-attribution profiler, the
+utilization timeline and the metrics registry are folded directly by the
+:class:`~repro.obs.Observability` hooks, so their accounting is complete
+whether the ring has wrapped or was never built.
 
 The ring exports to the Chrome ``trace_event`` JSON format, loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev: stage activity becomes
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable
 
 from repro.obs.events import StallReason, TraceEvent, TraceEventKind
+
+# Ring size of an exported trace unless the caller picks one.
+DEFAULT_TRACE_CAPACITY = 65536
 
 # Synthetic process ids grouping the Chrome trace tracks.
 _PID_PIPELINES = 1
@@ -38,20 +41,16 @@ _PROCESS_NAMES = {
 
 
 class EventTracer:
-    """Bounded ring of :class:`TraceEvent` plus online fan-out."""
+    """Bounded ring of :class:`TraceEvent`."""
 
-    def __init__(self, capacity: int = 65536) -> None:
+    def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
         self.ring: deque[TraceEvent] = deque(maxlen=capacity)
-        self.sinks: list[Callable[[TraceEvent], None]] = []
         self.emitted = 0
 
     # -- emission -------------------------------------------------------------
-
-    def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        self.sinks.append(sink)
 
     def emit(
         self,
@@ -61,15 +60,13 @@ class EventTracer:
         reason: StallReason | None = None,
         data: dict | None = None,
     ) -> None:
-        event = TraceEvent(cycle, kind, name, reason, data)
-        self.ring.append(event)
+        self.ring.append(TraceEvent(cycle, kind, name, reason, data))
         self.emitted += 1
-        for sink in self.sinks:
-            sink(event)
 
     @property
     def evicted(self) -> int:
-        """Events that fell off the ring (still seen by the sinks)."""
+        """Events that fell off the ring (the folded accounting still
+        counts them)."""
         return self.emitted - len(self.ring)
 
     def events(self) -> list[TraceEvent]:

@@ -46,6 +46,37 @@ class TestWorkloads:
         assert set(roads) == {"SPEC-BFS", "COOR-BFS", "SPEC-SSSP"}
 
 
+@pytest.fixture(scope="module")
+def cli_scale_workloads():
+    return default_workloads(scale=0.5)
+
+
+class TestSingleWorkload:
+    """The CLI builds only the workload it is asked for; it must be the
+    one the full table holds."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_cli_spec_simulates_like_full_table(self, app,
+                                                cli_scale_workloads):
+        from repro.cli import _default_spec
+        from repro.sim.accelerator import AcceleratorSim, SimConfig
+
+        full = cli_scale_workloads[app]
+        alone = default_workloads(scale=0.5, apps=(app,))
+        assert list(alone) == [app]
+        assert alone[app].profile == full.profile
+        assert alone[app].params == full.params
+        assert alone[app].source == full.source
+
+        def cycles(spec):
+            return AcceleratorSim(
+                spec, platform=EVAL_HARP,
+                config=SimConfig(engine="event"),
+            ).run(verify=False).cycles
+
+        assert cycles(_default_spec(app)) == cycles(full.build_spec())
+
+
 class TestPlatforms:
     def test_bandwidth_scaling(self):
         assert HARP.scaled(2.0).qpi_bytes_per_cycle == pytest.approx(

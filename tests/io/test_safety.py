@@ -21,6 +21,7 @@ from repro.io import (
     replace_file,
     reset_lock_telemetry,
 )
+from repro.io.safety import LockTelemetry
 
 
 class TestPidAlive:
@@ -160,6 +161,32 @@ class TestLockTelemetry:
         assert delta["contended"] == 1
         assert delta["wait_seconds"] > 0.05
         assert delta["max_wait_seconds"] >= delta["wait_seconds"]
+
+    def test_delta_max_ignores_waits_before_the_base(self, tmp_path):
+        import threading
+
+        target = tmp_path / "data.jsonl"
+        holder = FileLock(target)
+        holder.acquire()
+        threading.Timer(0.1, holder.release).start()
+        with FileLock(target, timeout=5.0, poll=0.01):
+            pass
+        base = lock_telemetry_snapshot()
+        with FileLock(target):
+            pass
+        delta = lock_telemetry_delta(base)
+        assert delta["acquires"] == 1
+        assert delta["max_wait_seconds"] == delta["wait_seconds"] < 0.05
+
+    def test_max_wait_since_keeps_suffix_maxima(self):
+        telemetry = LockTelemetry()
+        for wait_us in (500_000, 20, 300, 7):
+            telemetry.record_acquire(wait_us, contended=False)
+        assert telemetry.max_wait_since(0) == 500_000
+        assert telemetry.max_wait_since(1) == 300
+        assert telemetry.max_wait_since(3) == 7
+        assert telemetry.max_wait_since(4) == 0
+        assert telemetry.peaks == [(1, 500_000), (3, 300), (4, 7)]
 
     def test_timeout_counts_as_timeout_not_acquire(self, tmp_path):
         target = tmp_path / "data.jsonl"

@@ -169,6 +169,70 @@ class TestRunStore:
         assert [r.app for r in store.records()] == ["SPEC-BFS", "AFTER"]
 
 
+def _damaged(path) -> None:
+    """Grow a store at ``path`` into every shape ids must survive: a
+    compaction that drops lines, a preset non-sequential id, corrupt
+    lines, and a torn (newline-less) tail."""
+    store = RunStore(path)
+    for app in ("A", "B", "C"):
+        store.append(make_record(app=app))
+    with open(store.path, "a", encoding="utf-8") as handle:
+        handle.write("not json at all\n")
+    store.compact()                       # ids 1-3 kept, 3 lines
+    store.append(make_record(app="JUMP", run_id="000040"))
+    with open(store.path, "a", encoding="utf-8") as handle:
+        handle.write('"a bare string"\n{"run_id": "000007"}\n')
+        handle.write('{"torn": ')
+
+
+class TestAppendMany:
+    """A batch lands exactly as the same records appended one by one."""
+
+    APPS = ("D", "E", "F", "G")
+
+    def _batch(self, preset=False):
+        records = [make_record(app=app, timestamp="2026-01-01T00:00:00Z")
+                   for app in self.APPS]
+        if preset:
+            records[1].run_id = "000100"
+        return records
+
+    @pytest.mark.parametrize("damage", [False, True])
+    @pytest.mark.parametrize("preset", [False, True])
+    def test_batch_matches_per_record_appends(self, tmp_path, damage,
+                                              preset):
+        one, batch = RunStore(tmp_path / "one"), RunStore(tmp_path / "batch")
+        if damage:
+            _damaged(one.root)
+            _damaged(batch.root)
+            batch.path.write_bytes(one.path.read_bytes())
+        singles = [one.append(record) for record in self._batch(preset)]
+        landed = batch.append_many(self._batch(preset))
+        assert [r.run_id for r in landed] == [r.run_id for r in singles]
+        assert batch.path.read_bytes() == one.path.read_bytes()
+        if not damage:
+            ids = ["000001", "000100", "000101", "000102"] if preset \
+                else ["000001", "000002", "000003", "000004"]
+            assert [r.run_id for r in landed] == ids
+
+    def test_damaged_store_keeps_ids_past_everything_in_use(self, tmp_path):
+        store = RunStore(tmp_path / "s")
+        _damaged(store.root)
+        landed = store.append_many(self._batch())
+        # 40 is the highest id in use; the torn tail was healed, not glued.
+        assert [r.run_id for r in landed] == [
+            "000041", "000042", "000043", "000044"]
+        apps = [r.app for r in store.records()]
+        assert apps[-4:] == list(self.APPS)
+        # The bare string, the torn tail and the id-only stub.
+        assert store.skipped == 3
+
+    def test_empty_batch_writes_nothing(self, tmp_path):
+        store = RunStore(tmp_path / "s")
+        assert store.append_many([]) == []
+        assert not store.path.exists()
+
+
 class TestDiff:
     def test_diff_reports_bucket_and_counter_deltas(self):
         a = make_record(run_id="000001")
